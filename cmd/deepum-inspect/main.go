@@ -35,8 +35,8 @@ import (
 	"deepum/internal/correlation"
 	"deepum/internal/engine"
 	"deepum/internal/models"
+	"deepum/internal/obs"
 	"deepum/internal/sim"
-	"deepum/internal/trace"
 )
 
 func main() {
@@ -68,9 +68,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var rec *trace.Recorder
+	var rec *obs.Recorder
 	if *doTrace {
-		rec = trace.NewRecorder(1 << 20)
+		rec = obs.NewRecorder(0)
 	}
 	res, err := engine.Run(engine.Config{
 		Params:        sim.DefaultParams().Scale(*scale),
@@ -80,7 +80,7 @@ func main() {
 		Iterations:    *iters,
 		Warmup:        3,
 		Seed:          1,
-		Tracer:        rec,
+		Obs:           rec,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -136,9 +136,8 @@ func main() {
 
 	if rec != nil {
 		fmt.Printf("\n== event trace ==\n")
-		fmt.Print(trace.Summarize(rec.Events()))
-		if rec.Dropped() > 0 {
-			fmt.Printf("(%d oldest events dropped)\n", rec.Dropped())
-		}
+		a := obs.Analyze(rec.Events())
+		a.Dropped = rec.Dropped()
+		fmt.Print(a)
 	}
 }

@@ -5,7 +5,7 @@ package main
 // invariants (non-overlapping link transfers, consistent prefetch
 // accounting), then prints the offline reduction — link utilisation,
 // fault-batch size histogram, prefetch lead-time distribution, eviction
-// classification.
+// classification, per-kernel table.
 //
 //	deepum-sim -model bert-base -batch 8 -trace run.json
 //	deepum-inspect trace run.json

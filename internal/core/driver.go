@@ -11,8 +11,7 @@
 //
 // On a real system the driver is a Linux kernel module with four kernel
 // threads; here its policy logic is a deterministic state machine driven by
-// the simulation engine (internal/engine), while internal/pipeline provides
-// a faithful four-goroutine realization of the queue structure.
+// the simulation engine (internal/engine) in virtual time.
 package core
 
 import (
@@ -146,7 +145,7 @@ type Driver struct {
 
 	// obs receives a prefetch-issue event per enqueued command; obsClock
 	// supplies the timestamp (the driver itself has no clock — the engine
-	// drives it in virtual time, the pipeline in wall time).
+	// drives it in virtual time).
 	obs      *obs.Recorder
 	obsClock func() int64
 
@@ -213,7 +212,7 @@ func NewDriverFor(opts Options) (*Driver, error) {
 
 // NewDriver returns a driver with the given options, panicking on a policy
 // error. With a registered (or empty) Policy name and no hostile warm
-// payload, construction cannot fail; tests and the pipeline use this form.
+// payload, construction cannot fail; tests use this form.
 func NewDriver(opts Options) *Driver {
 	d, err := NewDriverFor(opts)
 	if err != nil {

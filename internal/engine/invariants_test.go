@@ -20,7 +20,7 @@ func TestResidencyNeverOverCapacity(t *testing.T) {
 	}
 	params := sim.DefaultParams().Scale(64)
 	e, err := newExec(Config{Params: params, Program: p, Policy: PolicyDeepUM,
-		DriverOptions: core.DefaultOptions(), Iterations: 1, Warmup: 1, Seed: 1, MaxFaultBatch: 64})
+		DriverOptions: core.DefaultOptions(), Iterations: 1, Warmup: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBlockIDsStableAcrossIterations(t *testing.T) {
 	}
 	params := sim.DefaultParams().Scale(64)
 	e, err := newExec(Config{Params: params, Program: p, Policy: PolicyUM,
-		Iterations: 1, Warmup: 1, Seed: 1, MaxFaultBatch: 64})
+		Iterations: 1, Warmup: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

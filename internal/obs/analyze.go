@@ -67,6 +67,26 @@ type Analysis struct {
 
 	// QueueDepthMax holds the maximum sampled depth per queue name.
 	QueueDepthMax map[string]int64
+
+	// PerKernel is the per-kernel-name breakdown of the memory events,
+	// ordered by fault pages descending (ties by name): where the memory
+	// system hurts.
+	PerKernel []KernelRow
+}
+
+// KernelRow is one kernel name's share of a trace. An event belongs to the
+// most recent kernel span that started at or before its timestamp; events
+// before the first kernel span fall into a row with an empty name. The
+// rule assumes one run per trace: runs that each restart virtual time at
+// zero interleave, and their rows mix.
+type KernelRow struct {
+	Kernel      string
+	Launches    int64
+	FaultPages  int64
+	FaultBlocks int64 // UM blocks in fault batches (KindFaultBatch.Arg2)
+	Evictions   int64 // every victim: critical, background and invalidated
+	Prefetches  int64 // prefetch transfers started
+	StallNs     int64
 }
 
 // HistBucket is one bucket of a power-of-two histogram: counts of samples
@@ -163,6 +183,7 @@ func Analyze(events []Event) *Analysis {
 		a.LinkUtilD2HPct = 100 * float64(a.LinkBusyD2HNs) / float64(a.SpanNs)
 	}
 	a.BatchSizeHist = pow2Hist(batchPages)
+	a.PerKernel = kernelTable(events)
 	if len(leads) > 0 {
 		sort.Slice(leads, func(i, j int) bool { return leads[i] < leads[j] })
 		a.LeadNsMin = leads[0]
@@ -171,6 +192,72 @@ func Analyze(events []Event) *Analysis {
 		a.LeadNsP90 = leads[len(leads)*9/10]
 	}
 	return a
+}
+
+// kernelTable attributes the fault, eviction, prefetch and stall events to
+// kernels by timestamp. Kernel spans are recorded when a kernel completes,
+// so the stream is not in launch order; the spans are sorted by start
+// first. Among spans with equal starts the later-recorded one wins.
+func kernelTable(events []Event) []KernelRow {
+	type start struct {
+		ts  int64
+		row int
+	}
+	var rows []KernelRow
+	index := map[string]int{}
+	row := func(name string) int {
+		i, ok := index[name]
+		if !ok {
+			i = len(rows)
+			index[name] = i
+			rows = append(rows, KernelRow{Kernel: name})
+		}
+		return i
+	}
+	var starts []start
+	for _, e := range events {
+		if e.Kind == KindKernel {
+			i := row(e.Name)
+			rows[i].Launches++
+			starts = append(starts, start{e.TS, i})
+		}
+	}
+	if len(starts) == 0 {
+		return nil
+	}
+	sort.SliceStable(starts, func(i, j int) bool { return starts[i].ts < starts[j].ts })
+	for _, e := range events {
+		switch e.Kind {
+		case KindFaultBatch, KindEvict, KindPrefetch, KindStall:
+		default:
+			continue
+		}
+		var i int
+		if n := sort.Search(len(starts), func(k int) bool { return starts[k].ts > e.TS }); n > 0 {
+			i = starts[n-1].row
+		} else {
+			i = row("") // may grow rows: index only after the call
+		}
+		r := &rows[i]
+		switch e.Kind {
+		case KindFaultBatch:
+			r.FaultPages += e.Arg
+			r.FaultBlocks += e.Arg2
+		case KindEvict:
+			r.Evictions++
+		case KindPrefetch:
+			r.Prefetches++
+		case KindStall:
+			r.StallNs += e.Arg
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].FaultPages != rows[j].FaultPages {
+			return rows[i].FaultPages > rows[j].FaultPages
+		}
+		return rows[i].Kernel < rows[j].Kernel
+	})
+	return rows
 }
 
 // pow2Hist buckets positive samples into power-of-two ranges [2^k, 2^(k+1)-1].
@@ -327,6 +414,23 @@ func (a *Analysis) String() string {
 			fmt.Fprintf(&b, " %s=%d", n, a.QueueDepthMax[n])
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if len(a.PerKernel) > 0 {
+		const top = 20
+		fmt.Fprintf(&b, "\n%-24s %8s %12s %12s %8s %9s %12s\n",
+			"kernel", "launches", "fault pages", "fault blocks", "evicted", "prefetch", "stall")
+		for i, k := range a.PerKernel {
+			if i == top {
+				fmt.Fprintf(&b, "(%d more kernels)\n", len(a.PerKernel)-top)
+				break
+			}
+			name := k.Kernel
+			if name == "" {
+				name = "(before first kernel)"
+			}
+			fmt.Fprintf(&b, "%-24s %8d %12d %12d %8d %9d %12s\n",
+				name, k.Launches, k.FaultPages, k.FaultBlocks, k.Evictions, k.Prefetches, fmtNs(k.StallNs))
+		}
 	}
 	return b.String()
 }

@@ -7,8 +7,8 @@
 //
 // The package is deliberately dependency-free: timestamps are plain int64
 // nanoseconds so the same event stream carries the engine's virtual
-// (simulated) time and the pipeline's wall-clock time without importing
-// either clock. Attachment is designed to be zero-cost when disabled —
+// (simulated) time and the federation and arbiter wall-clock time without
+// importing either clock. Attachment is designed to be zero-cost when disabled —
 // every emit site in the substrate guards on a nil *Recorder, so a run
 // without tracing pays one predictable branch per site and allocates
 // nothing.
@@ -165,8 +165,10 @@ const (
 	TrackDriver
 	// TrackBreaker carries circuit-breaker transitions.
 	TrackBreaker
-	// TrackPipeline carries the concurrent pipeline's wall-clock samples.
-	TrackPipeline
+	// trackRetired is tid 7, which nothing emits on any more. The slot
+	// stays reserved, with its old "pipeline" label, so later tids and
+	// stored traces that used it keep their meaning.
+	trackRetired
 	// TrackHealth carries degradation-ladder transitions and component
 	// score samples.
 	TrackHealth
@@ -195,7 +197,7 @@ func (t Track) String() string {
 		return "driver"
 	case TrackBreaker:
 		return "breaker"
-	case TrackPipeline:
+	case trackRetired:
 		return "pipeline"
 	case TrackHealth:
 		return "health"
@@ -209,7 +211,7 @@ func (t Track) String() string {
 
 // Event is one timestamped occurrence. TS and Dur are nanoseconds on the
 // recorder's clock (virtual time for the simulation, wall time for the
-// concurrent pipeline); Dur is zero for instants and counter samples.
+// shard and arbiter tracks); Dur is zero for instants and counter samples.
 // The per-kind payload conventions are documented on the Kind constants.
 type Event struct {
 	TS    int64

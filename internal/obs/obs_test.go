@@ -65,7 +65,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Instant(KindMark, TrackPipeline, int64(i), "w", int64(g), int64(i), 0)
+				r.Instant(KindMark, TrackRun, int64(i), "w", int64(g), int64(i), 0)
 			}
 		}(g)
 	}
@@ -113,8 +113,8 @@ func TestAnalyze(t *testing.T) {
 		{TS: 6_000, Kind: KindPrefetchWaste, Track: TrackDriver, Block: 6},
 		{TS: 6_500, Kind: KindStall, Track: TrackGPU, Block: 5, Arg: 200},
 		{TS: 7_000, Kind: KindBreaker, Track: TrackBreaker, Name: "closed->open"},
-		{TS: 7_500, Kind: KindQueueDepth, Track: TrackPipeline, Name: "faultq", Arg: 3},
-		{TS: 8_000, Kind: KindQueueDepth, Track: TrackPipeline, Name: "faultq", Arg: 7},
+		{TS: 7_500, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 3},
+		{TS: 8_000, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 7},
 	}
 	a := Analyze(events)
 	if a.SpanNs != 10_000 {
@@ -165,6 +165,43 @@ func TestAnalyze(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestKernelTable: events go to the latest kernel span starting at or
+// before them, even though spans are recorded at kernel completion, and
+// events ahead of every kernel land in the unnamed row.
+func TestKernelTable(t *testing.T) {
+	events := []Event{
+		{TS: 50, Kind: KindEvict, Track: TrackDriver, Block: 1},
+		{TS: 150, Dur: 100, Kind: KindFaultBatch, Track: TrackFaultHandler, Arg: 40, Arg2: 2},
+		{TS: 180, Kind: KindStall, Track: TrackGPU, Arg: 30},
+		{TS: 100, Dur: 200, Kind: KindKernel, Track: TrackGPU, Name: "gemm"},
+		{TS: 300, Dur: 0, Kind: KindKernel, Track: TrackGPU, Name: "relu"},
+		{TS: 300, Dur: 500, Kind: KindPrefetch, Track: TrackDriver, Block: 2, Arg: 1 << 21},
+		{TS: 310, Kind: KindEvict, Track: TrackFaultHandler, Block: 3, Arg2: EvictCritical},
+		{TS: 300, Dur: 100, Kind: KindKernel, Track: TrackGPU, Name: "conv"},
+		{TS: 500, Dur: 50, Kind: KindFaultBatch, Track: TrackFaultHandler, Arg: 70, Arg2: 1},
+		{TS: 400, Dur: 200, Kind: KindKernel, Track: TrackGPU, Name: "gemm"},
+	}
+	want := []KernelRow{
+		{Kernel: "gemm", Launches: 2, FaultPages: 110, FaultBlocks: 3, StallNs: 30},
+		{Kernel: "", Evictions: 1},
+		{Kernel: "conv", Launches: 1, Evictions: 1, Prefetches: 1},
+		{Kernel: "relu", Launches: 1},
+	}
+	a := Analyze(events)
+	if !reflect.DeepEqual(a.PerKernel, want) {
+		t.Fatalf("PerKernel = %+v\nwant %+v", a.PerKernel, want)
+	}
+	out := a.String()
+	for _, s := range []string{"fault blocks", "(before first kernel)", "gemm"} {
+		if !strings.Contains(out, s) {
+			t.Errorf("report missing %q:\n%s", s, out)
+		}
+	}
+	if Analyze(events[:3]).PerKernel != nil {
+		t.Fatal("a trace without kernel spans produced a table")
 	}
 }
 

@@ -116,7 +116,7 @@ type Handler struct {
 
 	// OnMigrated, if set, is called for each block the handler maps onto the
 	// device (the DeepUM correlator records faulted blocks from here).
-	OnMigrated func(b BlockID, at sim.Time)
+	OnMigrated func(b BlockID)
 	// OnBatch, if set, is called once per fault-handling cycle with its
 	// interrupt-to-replay window (the health controller's fault-batch
 	// latency feed).
@@ -127,7 +127,7 @@ type Handler struct {
 	// as prefetch failures do).
 	OnTransferRetry func(at sim.Time)
 	// OnEvicted, if set, is called for each victim (dropped or transferred).
-	OnEvicted func(b BlockID, invalidated bool)
+	OnEvicted func(b BlockID)
 
 	// Ctx, if set, lets a supervisor interrupt fault handling between block
 	// groups: once the context is done, HandleGroups finishes the group in
@@ -236,7 +236,7 @@ func (h *Handler) HandleGroups(now sim.Time, groups []FaultGroup) sim.Time {
 		h.Res.Touch(g.Block, g.Write)
 		h.Stats.BlocksMigrated++
 		if h.OnMigrated != nil {
-			h.OnMigrated(g.Block, t)
+			h.OnMigrated(g.Block)
 		}
 	}
 	// Step 9: replay.
@@ -275,7 +275,7 @@ func (h *Handler) evict(t sim.Time, need int64) sim.Time {
 						"", int64(v), 0, obs.EvictCritical|obs.EvictInvalidated)
 				}
 				if h.OnEvicted != nil {
-					h.OnEvicted(v, true)
+					h.OnEvicted(v)
 				}
 				continue
 			}
@@ -289,7 +289,7 @@ func (h *Handler) evict(t sim.Time, need int64) sim.Time {
 					"", int64(v), wb, obs.EvictCritical)
 			}
 			if h.OnEvicted != nil {
-				h.OnEvicted(v, false)
+				h.OnEvicted(v)
 			}
 		}
 	}

@@ -325,7 +325,7 @@ func TestHandlerMigratesFaultedBlocks(t *testing.T) {
 	s.Block(bs[0]).HostPopulated = true
 	s.Block(bs[1]).HostPopulated = true
 	var migrated []BlockID
-	h.OnMigrated = func(b BlockID, _ sim.Time) { migrated = append(migrated, b) }
+	h.OnMigrated = func(b BlockID) { migrated = append(migrated, b) }
 
 	end := h.HandleGroups(0, []FaultGroup{
 		{Block: bs[0], Count: sim.PagesPerBlock, Write: false},

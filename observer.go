@@ -59,15 +59,15 @@ func (o *Observer) recorder() *obs.Recorder {
 
 // WriteChromeTrace exports the recorded events as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps
-// are virtual (simulated) time except the pipeline track, which is
-// wall-clock relative to observer attachment.
+// are virtual (simulated) time.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, o.rec.Events())
 }
 
 // TraceAnalysis is the offline reduction of a trace: link utilisation,
 // fault-batch histogram, prefetch lead-time distribution, eviction
-// classification. Its String method renders a human-readable report.
+// classification, per-kernel memory table. Its String method renders a
+// human-readable report.
 type TraceAnalysis = obs.Analysis
 
 // Analyze reduces the recorded events to summary statistics.
