@@ -62,8 +62,21 @@ const (
 // IterStat re-exports the per-iteration measurement slice.
 type IterStat = engine.IterStat
 
-// BreakerStats re-exports the prefetch circuit breaker snapshot.
-type BreakerStats = engine.BreakerStats
+// BreakerStats described the prefetch circuit breaker, which no longer
+// exists: the health ladder (Config.Health) is the only thing that
+// suspends prefetching. Result.Breaker is always the zero value.
+//
+// Deprecated: read Result.Health (ladder level and transitions) and
+// Result.ChaosStats (prefetch retries and give-ups) instead.
+type BreakerStats struct {
+	Threshold      int
+	Cooldown       sim.Duration
+	State          string
+	Opens          int64
+	EverOpened     bool
+	ShortCircuited int64
+	Transitions    []metrics.StateTransition
+}
 
 // InvariantError re-exports the typed invariant-checker violation.
 type InvariantError = chaos.InvariantError

@@ -168,10 +168,6 @@ func main() {
 			fmt.Printf("invariant  %v\n", res.Invariant)
 		}
 	}
-	if res.Breaker.EverOpened {
-		fmt.Printf("breaker    opened %d time(s) at %d consecutive prefetch failures; %d prefetches short-circuited; final state %s\n",
-			res.Breaker.Opens, res.Breaker.Threshold, res.Breaker.ShortCircuited, res.Breaker.State)
-	}
 	if *resume != "" {
 		fmt.Printf("resume     %s policy state restored from %s\n", res.Policy, *resume)
 	}

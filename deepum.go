@@ -119,13 +119,14 @@ type Config struct {
 	// SystemDeepUM only; ResumeState.Policy must agree with Policy, and
 	// setting both Resume and ResumeState is an error.
 	ResumeState *PolicyState
-	// BreakerThreshold and BreakerCooldown tune the prefetch circuit
-	// breaker: after BreakerThreshold consecutive prefetch-transfer
-	// failures prefetching is suspended (pure on-demand faulting) for
-	// BreakerCooldown of virtual time, then probed again. Zero selects the
-	// defaults (8 failures, 500us).
+	// BreakerThreshold and BreakerCooldown tuned the prefetch circuit
+	// breaker, which the health ladder replaced. They are ignored.
+	//
+	// Deprecated: set Health; its ladder suspends prefetching (L3) on a
+	// failing link and probes its way back.
 	BreakerThreshold int
-	BreakerCooldown  sim.Duration
+	// Deprecated: see BreakerThreshold.
+	BreakerCooldown sim.Duration
 	// Health enables the closed-loop health controller: windowed health
 	// scores per component (link, prefetcher, migrator) drive a
 	// graduated degradation ladder — L0 full prefetch+pre-eviction, L1
@@ -138,8 +139,8 @@ type Config struct {
 	// slower. UM-side systems only.
 	Health *HealthOptions
 	// Observe attaches an event-trace observer (NewObserver) to the run:
-	// fault batches, link transfers, prefetch lifecycle, evictions, breaker
-	// transitions, and per-iteration spans are recorded into its ring
+	// fault batches, link transfers, prefetch lifecycle, evictions,
+	// health-ladder moves, and per-iteration spans are recorded into its ring
 	// buffer for export as a Chrome trace or offline analysis. Nil (the
 	// default) disables tracing at zero cost — the hot paths take a single
 	// nil check. UM-side systems only; the tensor-level baselines do not
@@ -167,19 +168,22 @@ func DefaultConfig() Config {
 // tells the supervisor why the run stopped.
 //
 // Degradation semantics: StatusDegraded means the run RAN TO COMPLETION
-// but not cleanly — either the prefetch circuit breaker opened at least
-// once (Breaker.EverOpened) or the invariant checker reported a violation
-// (Invariant != nil). EverOpened is sticky: it stays true even when the
-// breaker recovered and closed again before the run ended, so a run whose
-// prefetching was suspended for any window is never reported as cleanly
-// completed. The measurements of a degraded run are real but were taken
-// partly under pure on-demand faulting; treat cross-run comparisons with
-// suspicion.
+// but not cleanly — either the health ladder (Config.Health) left L0 at
+// least once (Health.MaxLevel above "L0") or the invariant checker
+// reported a violation (Invariant != nil). MaxLevel is sticky: it keeps
+// the high-water mark even when the ladder recovered to L0 before the run
+// ended, so a run whose speculation was cut back for any window is never
+// reported as cleanly completed. The measurements of a degraded run are
+// real but were taken partly with prefetching reduced or suspended; treat
+// cross-run comparisons with suspicion. Without Config.Health nothing
+// suspends prefetching: on a failing link each prefetch retries, gives up
+// (ChaosStats.PrefetchGiveUps) and falls back to demand faulting, and the
+// run still completes.
 type Result struct {
 	System System
 	// Status classifies how the run ended: completed, cancelled,
-	// deadline-exceeded, or degraded (run finished but the prefetch breaker
-	// opened or an invariant was violated — see Invariant).
+	// deadline-exceeded, or degraded (run finished but the health ladder
+	// left L0 or an invariant was violated — see Health and Invariant).
 	Status RunStatus
 	// Iterations is the number of measured iterations that completed.
 	Iterations int
@@ -208,7 +212,10 @@ type Result struct {
 	// Invariant is the first invariant-checker violation, reported through
 	// the result instead of failing the run; nil on a consistent run.
 	Invariant *InvariantError
-	// Breaker snapshots the prefetch circuit breaker (SystemDeepUM only).
+	// Breaker is always the zero value: the prefetch circuit breaker is
+	// gone.
+	//
+	// Deprecated: read Health and ChaosStats instead.
 	Breaker BreakerStats
 	// DiscardedPrefetches counts queued prefetch commands thrown away when
 	// the run was interrupted (demand work drains; speculation does not).
@@ -410,19 +417,17 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			hc = health.NewController(*cfg.Health)
 		}
 		r, err := engine.RunContext(ctx, engine.Config{
-			Params:           params,
-			Program:          prog,
-			Policy:           policy,
-			DriverOptions:    drv,
-			Iterations:       cfg.Iterations,
-			Warmup:           cfg.Warmup,
-			Seed:             cfg.Seed,
-			Chaos:            inj,
-			Deadline:         cfg.Deadline,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			Health:           hc,
-			Obs:              cfg.Observe.recorder(),
+			Params:        params,
+			Program:       prog,
+			Policy:        policy,
+			DriverOptions: drv,
+			Iterations:    cfg.Iterations,
+			Warmup:        cfg.Warmup,
+			Seed:          cfg.Seed,
+			Chaos:         inj,
+			Deadline:      cfg.Deadline,
+			Health:        hc,
+			Obs:           cfg.Observe.recorder(),
 		})
 		if err != nil {
 			return nil, err
@@ -443,7 +448,6 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			ChaosStats:             r.Chaos,
 			IterStats:              r.IterStats,
 			Invariant:              r.Invariant,
-			Breaker:                r.Breaker,
 			DiscardedPrefetches:    r.DiscardedPrefetches,
 			Health:                 r.Health,
 			AccessChecksum:         r.AccessChecksum,

@@ -165,3 +165,32 @@ func TestTrainResumeRejectedForNonDeepUM(t *testing.T) {
 		t.Fatalf("resume error not descriptive: %v", err)
 	}
 }
+
+// TestDeprecatedBreakerFieldsIgnored: the circuit-breaker knobs still
+// compile but change nothing — a flaky-link run with an aggressive
+// threshold and cooldown matches the run without them, and Result.Breaker
+// stays zero.
+func TestDeprecatedBreakerFieldsIgnored(t *testing.T) {
+	w := Workload{Model: "bert-large", Batch: 16}
+	cfg := testConfig(SystemDeepUM)
+	cfg.Chaos = "flaky-link"
+	ref, err := Train(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.BreakerThreshold = 1
+	cfg.BreakerCooldown = sim.Duration(time.Second)
+	res, err := Train(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Breaker.Opens != 0 || res.Breaker.EverOpened || res.Breaker.State != "" {
+		t.Fatalf("Result.Breaker = %+v, want the zero value", res.Breaker)
+	}
+	if res.Status != ref.Status || res.IterationTime != ref.IterationTime ||
+		res.PageFaultsPerIteration != ref.PageFaultsPerIteration || res.ChaosStats != ref.ChaosStats {
+		t.Fatalf("breaker knobs changed the run: %v %v %d %+v, without them %v %v %d %+v",
+			res.Status, res.IterationTime, res.PageFaultsPerIteration, res.ChaosStats,
+			ref.Status, ref.IterationTime, ref.PageFaultsPerIteration, ref.ChaosStats)
+	}
+}

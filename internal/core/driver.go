@@ -159,7 +159,7 @@ type Driver struct {
 // HealthGate is the slice of the degradation ladder the prefetching thread
 // consults before creating new speculation (internal/health implements it).
 // It is the policy seam's Gate type: the driver forwards it to the policy,
-// which consults AllowPrefetchEnqueue and DegreeCap before emitting, while
+// which consults AllowPrefetch and DegreeCap before emitting, while
 // the driver itself applies SpeculativeRequeue on the requeue path.
 type HealthGate = policy.Gate
 

@@ -71,6 +71,7 @@ func WriteEnvelope(w io.Writer, policyName string, payload []byte) error {
 		return fmt.Errorf("correlation: invalid policy name %q in checkpoint envelope", policyName)
 	}
 	var buf bytes.Buffer
+	buf.Grow(len(checkpointMagic) + 4 + 4 + len(policyName) + len(payload) + 4)
 	buf.Write(checkpointMagic[:])
 	writeU32(&buf, EnvelopeVersion)
 	writeU32(&buf, uint32(len(policyName)))

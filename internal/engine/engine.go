@@ -82,7 +82,7 @@ type Config struct {
 	UMDensityPrefetch bool
 	// Obs, when set, attaches the structured observability layer: typed
 	// spans and instants (iterations, kernels, fault batches, the prefetch
-	// lifecycle, evictions, link occupancy, breaker transitions, queue
+	// lifecycle, evictions, link occupancy, health-ladder moves, queue
 	// depths) in virtual time, exportable as a Chrome/Perfetto trace. Nil —
 	// the default — costs one branch per emit site and zero allocations.
 	Obs *obs.Recorder
@@ -95,12 +95,15 @@ type Config struct {
 	Chaos *chaos.Injector
 	// Health, when set, attaches the closed-loop health controller: the
 	// run's degradation telemetry (transfer failures/retries, prefetch
-	// waste and late hits, fault-batch latency, breaker transitions,
-	// migrator stalls) feeds per-component EWMA scores, and the resulting
-	// ladder level gates speculation — prefetch issue and enqueue, chaining
-	// degree, pre-eviction, fault-batch size, eviction policy. Nil (the
-	// default) disables the ladder entirely; the demand path is never
-	// gated, so correctness is identical at every level.
+	// waste and late hits, fault-batch latency, migrator stalls) feeds
+	// per-component EWMA scores, and the resulting ladder level gates
+	// speculation — prefetch issue and enqueue, chaining degree,
+	// pre-eviction, fault-batch size, eviction policy. Nil (the default)
+	// disables the ladder entirely; the demand path is never gated, so
+	// correctness is identical at every level. The ladder is the only
+	// thing that suspends speculation: without it, prefetches on a failing
+	// link retry, give up and fall back to demand faulting one command at
+	// a time.
 	Health *health.Controller
 
 	// Ctx supervises the run: once it is cancelled or its deadline expires,
@@ -113,12 +116,6 @@ type Config struct {
 	// Unlike a context deadline it is deterministic under a fixed seed —
 	// the chaos scenario "deadline-tight" uses it. Zero means unbounded.
 	Deadline sim.Duration
-	// BreakerThreshold is the consecutive prefetch-transfer-failure count
-	// that opens the prefetch circuit breaker (default 8); BreakerCooldown
-	// is the virtual time the breaker stays open before half-opening to
-	// probe (default 500us). See breaker.go.
-	BreakerThreshold int
-	BreakerCooldown  sim.Duration
 }
 
 // Result aggregates the measurements of a run. Interrupted runs (Status
@@ -174,9 +171,6 @@ type Result struct {
 	// the result (Status degraded) instead of aborting the caller; nil on a
 	// consistent run.
 	Invariant *chaos.InvariantError
-	// Breaker snapshots the prefetch circuit breaker (zero value for
-	// policies without a driver).
-	Breaker BreakerStats
 	// DiscardedPrefetches counts queued prefetch commands thrown away when
 	// the run was interrupted (demand work drains; speculation does not).
 	DiscardedPrefetches int64
@@ -274,9 +268,6 @@ type exec struct {
 	deadline  sim.Time
 	status    RunStatus
 	invariant *chaos.InvariantError
-	// breaker is the prefetch circuit breaker (breaker.go); nil (and
-	// nil-safe) for policies without a driver.
-	breaker *prefetchBreaker
 
 	touchBuf []touch
 	groupBuf []um.FaultGroup
@@ -370,18 +361,6 @@ func newExec(cfg Config) (*exec, error) {
 				Base:        e.driver,
 				Fallback:    um.LRMPolicy{},
 				UseFallback: e.health.UseFallbackEviction,
-			}
-		}
-		if e.driver.Options().Prefetch {
-			e.breaker = newPrefetchBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-			e.breaker.obs = cfg.Obs
-			if e.health != nil {
-				// The breaker stays intact as a fast local mechanism; its
-				// transitions become one (severe) input to the ladder.
-				hc := e.health
-				e.breaker.onTransition = func(now sim.Time, from, to string) {
-					hc.ObserveBreaker(int64(now), from, to)
-				}
 			}
 		}
 		e.driver.SetResidencyProbe(func(b um.BlockID) bool {
@@ -587,8 +566,7 @@ func (e *exec) run() (*Result, error) {
 	// A final ladder tick so post-injection recovery observed up to the last
 	// event is reflected in the report.
 	e.health.Tick(int64(e.now))
-	if e.status == StatusCompleted && (e.invariant != nil ||
-		(e.breaker != nil && e.breaker.opens > 0) || e.health.MaxLevel() > health.L0) {
+	if e.status == StatusCompleted && (e.invariant != nil || e.health.MaxLevel() > health.L0) {
 		e.status = StatusDegraded
 	}
 	res.Status = e.status
@@ -619,7 +597,6 @@ func (e *exec) run() (*Result, error) {
 			res.PolicyPayload = warm.Bytes()
 		}
 	}
-	res.Breaker = e.breaker.snapshot()
 	res.Health = e.health.Report()
 	res.AccessChecksum = e.accessSum
 	res.TrafficH2D, res.TrafficD2H = e.link.Traffic()
@@ -736,8 +713,8 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		}
 		t := touches[i]
 		blk := e.space.Block(t.block)
-		if !blk.Resident && e.driver != nil && e.breaker.allow(e.now) &&
-			e.health.AllowPrefetch() && e.driver.TakeQueued(t.block) {
+		if !blk.Resident && e.driver != nil && e.health.AllowPrefetch() &&
+			e.driver.TakeQueued(t.block) {
 			// A prefetch command for this block is already in the queue:
 			// the migration thread runs it ahead of the remaining queue
 			// (fault avoided; the GPU stalls on the in-flight transfer).
@@ -791,8 +768,7 @@ func (e *exec) kernel(k *workload.Kernel) error {
 			if e.space.Block(tj.block).Resident {
 				break
 			}
-			if e.driver != nil && e.breaker.allow(e.now) &&
-				e.health.AllowPrefetch() && e.driver.TakeQueued(tj.block) {
+			if e.driver != nil && e.health.AllowPrefetch() && e.driver.TakeQueued(tj.block) {
 				e.materialize(tj.block)
 				break
 			}
@@ -931,14 +907,13 @@ func (e *exec) pump(until sim.Time) {
 			e.evictBackground(v, true)
 		}
 	}
-	// Prefetch stream on the H2D lane. An open circuit breaker short-circuits
-	// the whole stream: the run is in pure on-demand mode until the cooldown
-	// half-opens it.
+	// Prefetch stream on the H2D lane. The ladder at L3 short-circuits the
+	// whole stream: the run is in pure on-demand mode until it recovers.
 	for {
 		if e.link.BusyUntil(sim.HostToDevice) >= until {
 			return
 		}
-		if !e.breaker.allow(until) || !e.health.AllowPrefetch() {
+		if !e.health.AllowPrefetch() {
 			return
 		}
 		cmd, ok := e.nextPrefetch()
@@ -1035,20 +1010,11 @@ func (e *exec) prefetchTransfer(at sim.Time, need int64) (ready sim.Time, ok boo
 	for attempt := 0; ; attempt++ {
 		_, end, delivered := e.link.ReserveChecked(at, need, sim.HostToDevice)
 		if delivered {
-			e.breaker.success(end)
 			e.health.ObserveTransferSuccess(int64(end))
 			return end, true
 		}
-		e.breaker.failure(end)
 		e.health.ObserveTransferFailure(int64(end))
 		if attempt >= chaos.MaxPrefetchRetries {
-			e.chaos.NotePrefetchGiveUp()
-			e.health.ObservePrefetchGiveUp(int64(end))
-			return end, false
-		}
-		if !e.breaker.allow(end) {
-			// The breaker opened on this failure: abandon the command without
-			// burning the remaining retries — on-demand faulting serves it.
 			e.chaos.NotePrefetchGiveUp()
 			e.health.ObservePrefetchGiveUp(int64(end))
 			return end, false

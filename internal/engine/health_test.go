@@ -2,11 +2,8 @@ package engine
 
 import (
 	"testing"
-	"time"
 
-	"deepum/internal/chaos"
 	"deepum/internal/health"
-	"deepum/internal/sim"
 )
 
 // TestLadderEquivalence is the monotone-safety acceptance test: every rung
@@ -63,59 +60,61 @@ func TestLadderEquivalence(t *testing.T) {
 	}
 }
 
-// TestBreakerFlappingBounded: on a wedged link with a short cooldown the
-// raw circuit breaker flaps as fast as it can — every half-open probe
-// fails and reopens it, once per cooldown. With the health ladder driving,
-// the oscillation is bounded two ways: the ladder itself moves at most one
-// rung per dwell (with recovery additionally rate-limited by the probe
-// interval), and by parking at L3 it suspends the prefetch probe loop, so
-// the breaker flips far less than it does fending for itself.
-func TestBreakerFlappingBounded(t *testing.T) {
-	wedged := func(hc *health.Controller) *Result {
-		cfg := lifecycleConfig(lifecycleProgram(t))
-		cfg.Chaos = chaos.NewInjector(chaos.Scenario{
-			Name:                "wedged-link",
-			TransferFailProb:    0.9,
-			MaxConsecutiveFails: 64,
-		}, 1)
-		cfg.BreakerThreshold = 4
-		cfg.BreakerCooldown = sim.Duration(50 * time.Microsecond)
-		cfg.Health = hc
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != StatusDegraded {
-			t.Fatalf("status %v, want degraded", res.Status)
-		}
-		if res.Iterations != cfg.Iterations {
-			t.Fatalf("run did not complete under the flapping breaker: %d/%d iterations",
-				res.Iterations, cfg.Iterations)
-		}
-		return res
+// wedgedLadderRun runs the lifecycle program on a link failing nine
+// transfers in ten with a default health ladder attached, and returns the
+// result, the ladder and the clean run's access checksum.
+func wedgedLadderRun(t *testing.T) (*Result, *health.Controller, uint64) {
+	t.Helper()
+	p := lifecycleProgram(t)
+	clean, err := Run(lifecycleConfig(p))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	solo := wedged(nil)
-	if !solo.Breaker.EverOpened || solo.Breaker.Opens < 10 {
-		t.Fatalf("ladderless breaker did not flap (opens=%d) — the scenario no longer exercises oscillation",
-			solo.Breaker.Opens)
-	}
-
+	cfg := lifecycleConfig(p)
+	cfg.Chaos = wedgedLink()
 	hc := health.NewController(health.Options{})
-	laddered := wedged(hc)
+	cfg.Health = hc
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != cfg.Iterations {
+		t.Fatalf("run did not complete on the wedged link: %d/%d iterations",
+			res.Iterations, cfg.Iterations)
+	}
+	return res, hc, clean.AccessChecksum
+}
+
+// TestLadderWedgedLink: on a link failing nine transfers in ten, the
+// health ladder alone suspends speculation. It climbs to L3 (pure demand
+// faulting), every iteration still completes — StatusDegraded, since the
+// ladder left L0 — and the access stream matches the clean run.
+func TestLadderWedgedLink(t *testing.T) {
+	res, hc, clean := wedgedLadderRun(t)
+	if hc.MaxLevel() != health.L3 {
+		t.Fatalf("ladder peaked at %s on a wedged link, want L3", hc.MaxLevel())
+	}
+	if res.Status != StatusDegraded {
+		t.Fatalf("status %v, want degraded (invariant: %v)", res.Status, res.Invariant)
+	}
+	if res.FaultsPerIter == 0 {
+		t.Fatal("no demand faults while prefetching was suspended")
+	}
+	if res.AccessChecksum != clean {
+		t.Fatalf("access checksum %#x, clean run %#x", res.AccessChecksum, clean)
+	}
+}
+
+// TestLadderFlappingBounded: on the same wedged link the ladder's climb
+// and any recovery are rate-bounded. Moves are single-rung and
+// dwell-spaced, and consecutive recovery probes are at least one probe
+// interval apart, so a flapping link cannot make the ladder oscillate.
+func TestLadderFlappingBounded(t *testing.T) {
+	_, hc, _ := wedgedLadderRun(t)
 	trans := hc.Transitions()
 	if len(trans) == 0 || hc.MaxLevel() < health.L2 {
 		t.Fatalf("ladder never engaged: max %s, %d transitions", hc.MaxLevel(), len(trans))
 	}
-	// Damping: with the ladder cutting speculation off, the breaker flips
-	// far less often than when it is the only adaptive mechanism. (The runs
-	// have different virtual lengths, so compare with headroom, not 1:1.)
-	if laddered.Breaker.Opens*3 >= solo.Breaker.Opens*2 {
-		t.Fatalf("ladder did not damp the breaker: %d opens with vs %d without",
-			laddered.Breaker.Opens, solo.Breaker.Opens)
-	}
-	// Rate bound: moves are dwell-spaced and single-rung, and consecutive
-	// de-escalations are at least one probe interval apart.
 	lastProbe := int64(-1)
 	for i, tr := range trans {
 		d := int(tr.To) - int(tr.From)

@@ -24,8 +24,8 @@ const (
 	// StatusDeadlineExceeded: the context deadline or the virtual-time
 	// budget (Config.Deadline) expired mid-run.
 	StatusDeadlineExceeded
-	// StatusDegraded: the run completed, but not cleanly — the prefetch
-	// circuit breaker opened at least once, or the invariant checker
+	// StatusDegraded: the run completed, but not cleanly — the health
+	// ladder (Config.Health) left L0 at least once, or the invariant checker
 	// reported a violation (Result.Invariant). Measurements exist but a
 	// supervisor should treat them with suspicion.
 	StatusDegraded

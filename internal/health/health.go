@@ -1,10 +1,9 @@
 // Package health is the closed-loop health controller of the UM substrate.
 // It consumes the degradation telemetry the rest of the system already
 // produces — link transfer failures and retries, prefetch waste and late
-// hits, fault-batch latency, circuit-breaker transitions, migration-thread
-// stalls, memory pressure — folds each signal into a windowed EWMA health
-// score per component (link, prefetcher, migrator), and drives a graduated
-// degradation ladder:
+// hits, fault-batch latency, migration-thread stalls, memory pressure —
+// folds each signal into a windowed EWMA health score per component (link,
+// prefetcher, migrator), and drives a graduated degradation ladder:
 //
 //	L0  full prefetch + pre-eviction (the paper's headline configuration)
 //	L1  chained-correlation-only prefetch: speculative re-queueing of
@@ -20,12 +19,12 @@
 // ProbeInterval, so a flapping fault source cannot make the ladder oscillate
 // faster than the dwell/probe clock.
 //
-// The controller subsumes the engine's prefetch circuit breaker: a breaker
-// opening is one (severe) link-health input rather than the only adaptive
-// mechanism. Every degradation decision trades speculation for safety and
-// never touches the demand path, so correctness is level-invariant — the
-// engine's equivalence tests pin a bit-identical GPU access sequence at
-// every forced ladder level.
+// The controller is the only thing that suspends speculation: a wedged
+// link's failure impulses drive it to L3, and its recovery probes re-enable
+// prefetching once the link heals. Every degradation decision trades
+// speculation for safety and never touches the demand path, so correctness
+// is level-invariant — the engine's equivalence tests pin a bit-identical
+// GPU access sequence at every forced ladder level.
 //
 // Like internal/obs, the package is clock-agnostic: timestamps are plain
 // int64 nanoseconds, and the engine feeds virtual (simulated) time. All
@@ -77,7 +76,7 @@ type Component uint8
 
 // Scored components.
 const (
-	Link       Component = iota // transfer failures, retries, breaker opens
+	Link       Component = iota // transfer failures, retries
 	Prefetcher                  // waste, late hits, give-ups
 	retired                     // reserved, never scored: keeps Migrator's value stable
 	Migrator                    // fault-batch latency, injected stalls, pressure
@@ -119,7 +118,6 @@ const (
 	wPrefetchGiveUp = 0.20 // a prefetch abandoned to demand faulting
 	wPrefetchWaste  = 0.08 // a prefetched block evicted unused
 	wLateHit        = 0.05 // a prefetch the GPU still stalled on
-	wBreakerOpen    = 0.90 // the circuit breaker tripping
 	wSlowFaultBatch = 0.25 // a handler cycle far over its running mean
 	wMigratorStall  = 0.30 // an injected/observed migration-thread stall
 	// wPressure scales the sampled memory-pressure gauge (0..1) into a
@@ -312,18 +310,15 @@ func (c *Controller) MaxLevel() Level {
 	return c.maxLevel
 }
 
-// AllowPrefetch reports whether any prefetch work (queued-command takeover,
-// background streaming) may run: false only at L3.
+// AllowPrefetch reports whether any prefetch work may run — the driver
+// enqueueing new commands (the chain may keep learning regardless), the
+// engine taking over a queued command or streaming the queue: false only at
+// L3.
 func (c *Controller) AllowPrefetch() bool { return c.Level() < L3 }
 
 // AllowPreevict reports whether background pre-eviction may run: false from
 // L2 up.
 func (c *Controller) AllowPreevict() bool { return c.Level() < L2 }
-
-// AllowPrefetchEnqueue reports whether the driver may enqueue new prefetch
-// commands (the chain may keep learning regardless): false only at L3. This
-// is the core.Driver fillQueue gate.
-func (c *Controller) AllowPrefetchEnqueue() bool { return c.Level() < L3 }
 
 // SpeculativeRequeue reports whether the driver may re-queue evicted
 // protected blocks (prediction-driven speculation beyond the chain): false
@@ -386,19 +381,6 @@ func (c *Controller) ObservePrefetchWaste(ts int64) { c.impulse(ts, Prefetcher, 
 // ObserveLateHit folds one prefetch hit the GPU still had to stall on
 // (negative lead time).
 func (c *Controller) ObserveLateHit(ts int64) { c.impulse(ts, Prefetcher, wLateHit) }
-
-// ObserveBreaker folds a circuit-breaker transition: an opening is a severe
-// link signal; other transitions merely advance the clock.
-func (c *Controller) ObserveBreaker(ts int64, from, to string) {
-	if c == nil {
-		return
-	}
-	if to == "open" {
-		c.impulse(ts, Link, wBreakerOpen)
-		return
-	}
-	c.Tick(ts)
-}
 
 // ObserveFaultBatch folds one fault-handling cycle's latency: cycles far
 // over the running mean are a migrator-health impulse.

@@ -58,7 +58,8 @@ func TestEscalationOneLevelPerDwell(t *testing.T) {
 func TestRecoveryWalksDownOneLevelPerProbe(t *testing.T) {
 	opt := testOptions()
 	c := NewController(opt)
-	c.ObserveBreaker(100, "closed", "open") // 0.9: straight past the threshold
+	c.ObserveTransferFailure(100)
+	c.ObserveTransferFailure(100) // 0.6: L1
 	c.ObserveTransferFailure(201)
 	c.ObserveTransferFailure(302)
 	if got := c.Level(); got != L3 {
@@ -114,7 +115,7 @@ func TestNilControllerPermissive(t *testing.T) {
 	if c.Level() != L0 || c.MaxLevel() != L0 {
 		t.Fatal("nil controller not at L0")
 	}
-	if !c.AllowPrefetch() || !c.AllowPreevict() || !c.AllowPrefetchEnqueue() || !c.SpeculativeRequeue() {
+	if !c.AllowPrefetch() || !c.AllowPreevict() || !c.SpeculativeRequeue() {
 		t.Fatal("nil controller gated something")
 	}
 	if c.UseFallbackEviction() {
@@ -133,7 +134,7 @@ func TestNilControllerPermissive(t *testing.T) {
 	c.ObservePrefetchGiveUp(4)
 	c.ObservePrefetchWaste(5)
 	c.ObserveLateHit(6)
-	c.ObserveBreaker(7, "closed", "open")
+	c.ObserveTransferFailure(7)
 	c.ObserveFaultBatch(8, 1000)
 	c.ObserveMigratorStall(9, 1000)
 	c.Tick(11)
@@ -146,7 +147,7 @@ func TestNilControllerPermissive(t *testing.T) {
 func TestFixedNeverTransitions(t *testing.T) {
 	c := Fixed(L2)
 	for ts := int64(0); ts < 100_000; ts += 50 {
-		c.ObserveBreaker(ts, "closed", "open")
+		c.ObserveTransferFailure(ts)
 	}
 	if got := c.Level(); got != L2 {
 		t.Fatalf("frozen controller moved to %s", got)
@@ -210,7 +211,8 @@ func TestOnTransitionCallback(t *testing.T) {
 	opt := testOptions()
 	opt.OnTransition = func(tr Transition) { seen = append(seen, tr) }
 	c := NewController(opt)
-	c.ObserveBreaker(200, "closed", "open")
+	c.ObserveTransferFailure(200)
+	c.ObserveTransferFailure(200)
 	c.ObserveTransferFailure(301)
 	if len(seen) != 2 {
 		t.Fatalf("callback fired %d times, want 2", len(seen))
@@ -272,7 +274,8 @@ func TestObserverEmitsHealthEvents(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	c := NewController(testOptions())
 	c.SetObserver(rec)
-	c.ObserveBreaker(200, "closed", "open") // L0->L1 plus a score sample
+	c.ObserveTransferFailure(200)
+	c.ObserveTransferFailure(200) // L0->L1 plus score samples
 	var transitions, samples int
 	for _, e := range rec.Events() {
 		if e.Kind != obs.KindHealth || e.Track != obs.TrackHealth {

@@ -6,12 +6,12 @@ import (
 	"sync"
 )
 
-// StateTransition records one state-machine transition with the virtual
-// timestamp (nanoseconds of simulated time) at which it happened. The engine's
-// prefetch circuit breaker logs its closed/open/half-open transitions here so
-// a degraded run can be audited after the fact.
+// StateTransition records one state-machine transition with the timestamp
+// (nanoseconds on the owner's clock) at which it happened. The supervisor
+// logs its run-state transitions here so a run's history can be audited
+// after the fact.
 type StateTransition struct {
-	At     int64 // virtual nanoseconds since run start
+	At     int64 // nanoseconds since the owner's epoch
 	From   string
 	To     string
 	Reason string
@@ -22,89 +22,31 @@ func (t StateTransition) String() string {
 	return fmt.Sprintf("%dns %s->%s (%s)", t.At, t.From, t.To, t.Reason)
 }
 
-// TransitionLog accumulates state transitions in occurrence order. The zero
-// value is ready to use; it is not safe for concurrent use (the discrete-event
-// engine is single-threaded).
-type TransitionLog struct {
-	transitions []StateTransition
-}
-
-// Record appends one transition.
-func (l *TransitionLog) Record(at int64, from, to, reason string) {
-	l.transitions = append(l.transitions, StateTransition{At: at, From: from, To: to, Reason: reason})
-}
-
-// Transitions returns the recorded transitions in order. The slice is shared;
-// callers must not modify it.
-func (l *TransitionLog) Transitions() []StateTransition {
-	if l == nil {
-		return nil
-	}
-	return l.transitions
-}
-
-// Len returns how many transitions were recorded.
-func (l *TransitionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.transitions)
-}
-
-// Count returns how many recorded transitions went from `from` to `to`; an
-// empty string matches any state on that side.
-func (l *TransitionLog) Count(from, to string) int64 {
-	if l == nil {
-		return 0
-	}
-	var n int64
-	for _, t := range l.transitions {
-		if (from == "" || t.From == from) && (to == "" || t.To == to) {
-			n++
-		}
-	}
-	return n
-}
-
-// String renders the full log, one transition per line.
-func (l *TransitionLog) String() string {
-	if l == nil || len(l.transitions) == 0 {
-		return "(no transitions)"
-	}
-	var b strings.Builder
-	for _, t := range l.transitions {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// SyncTransitionLog is a TransitionLog safe for concurrent use. The
-// single-threaded engine keeps the lock-free variant; the multi-run
-// supervisor, whose workers record run-state transitions from many
-// goroutines, uses this one. The zero value is ready to use.
+// SyncTransitionLog accumulates state transitions in occurrence order and is
+// safe for concurrent use: the multi-run supervisor's workers record
+// run-state transitions from many goroutines. The zero value is ready to
+// use; reads on a nil log are inert.
 type SyncTransitionLog struct {
-	mu  sync.Mutex
-	log TransitionLog
+	mu          sync.Mutex
+	transitions []StateTransition
 }
 
 // Record appends one transition.
 func (l *SyncTransitionLog) Record(at int64, from, to, reason string) {
 	l.mu.Lock()
-	l.log.Record(at, from, to, reason)
+	l.transitions = append(l.transitions, StateTransition{At: at, From: from, To: to, Reason: reason})
 	l.mu.Unlock()
 }
 
-// Transitions returns a copy of the recorded transitions in order (a copy,
-// unlike TransitionLog.Transitions, so the caller holds no reference into
-// a log that other goroutines keep appending to).
+// Transitions returns a copy of the recorded transitions in order, so the
+// caller holds no reference into a log other goroutines keep appending to.
 func (l *SyncTransitionLog) Transitions() []StateTransition {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]StateTransition(nil), l.log.transitions...)
+	return append([]StateTransition(nil), l.transitions...)
 }
 
 // Len returns how many transitions were recorded.
@@ -114,7 +56,7 @@ func (l *SyncTransitionLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.log.Len()
+	return len(l.transitions)
 }
 
 // Count returns how many recorded transitions went from `from` to `to`; an
@@ -125,5 +67,29 @@ func (l *SyncTransitionLog) Count(from, to string) int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.log.Count(from, to)
+	var n int64
+	for _, t := range l.transitions {
+		if (from == "" || t.From == from) && (to == "" || t.To == to) {
+			n++
+		}
+	}
+	return n
+}
+
+// String renders the full log, one transition per line.
+func (l *SyncTransitionLog) String() string {
+	if l == nil {
+		return "(no transitions)"
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.transitions) == 0 {
+		return "(no transitions)"
+	}
+	var b strings.Builder
+	for _, t := range l.transitions {
+		b.WriteString(t.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

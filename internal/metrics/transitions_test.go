@@ -7,15 +7,15 @@ import (
 )
 
 func TestTransitionLogRecordAndCount(t *testing.T) {
-	var l TransitionLog
+	var l SyncTransitionLog
 	if l.Len() != 0 || l.Transitions() != nil || l.Count("", "") != 0 {
 		t.Fatal("zero-value log not empty")
 	}
-	l.Record(100, "closed", "open", "8 consecutive failures")
-	l.Record(600, "open", "half-open", "cooldown elapsed")
-	l.Record(650, "half-open", "open", "probe failed")
-	l.Record(1200, "open", "half-open", "cooldown elapsed")
-	l.Record(1250, "half-open", "closed", "probe delivered")
+	l.Record(100, "queued", "running", "worker")
+	l.Record(600, "running", "suspended", "memory pressure")
+	l.Record(650, "suspended", "running", "resumed")
+	l.Record(1200, "running", "suspended", "memory pressure")
+	l.Record(1250, "suspended", "failed", "checkpoint lost")
 
 	if l.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", l.Len())
@@ -26,38 +26,37 @@ func TestTransitionLogRecordAndCount(t *testing.T) {
 			t.Fatalf("transitions out of order at %d: %v", i, tr)
 		}
 	}
-	if got := l.Count("", "open"); got != 2 {
-		t.Fatalf("Count(any->open) = %d, want 2", got)
+	if got := l.Count("", "running"); got != 2 {
+		t.Fatalf("Count(any->running) = %d, want 2", got)
 	}
-	if got := l.Count("half-open", ""); got != 2 {
-		t.Fatalf("Count(half-open->any) = %d, want 2", got)
+	if got := l.Count("suspended", ""); got != 2 {
+		t.Fatalf("Count(suspended->any) = %d, want 2", got)
 	}
-	if got := l.Count("closed", "open"); got != 1 {
-		t.Fatalf("Count(closed->open) = %d, want 1", got)
+	if got := l.Count("queued", "running"); got != 1 {
+		t.Fatalf("Count(queued->running) = %d, want 1", got)
 	}
-	if got := l.Count("open", "closed"); got != 0 {
-		t.Fatalf("Count(open->closed) = %d, want 0", got)
+	if got := l.Count("running", "failed"); got != 0 {
+		t.Fatalf("Count(running->failed) = %d, want 0", got)
 	}
 }
 
+// TestTransitionLogNilSafe: a nil log renders as empty
+// (TestSyncTransitionLogNil covers the other reads).
 func TestTransitionLogNilSafe(t *testing.T) {
-	var l *TransitionLog
-	if l.Len() != 0 || l.Transitions() != nil || l.Count("a", "b") != 0 {
-		t.Fatal("nil log reads are not inert")
-	}
+	var l *SyncTransitionLog
 	if l.String() != "(no transitions)" {
 		t.Fatalf("nil String = %q", l.String())
 	}
 }
 
 func TestTransitionLogString(t *testing.T) {
-	var l TransitionLog
+	var l SyncTransitionLog
 	if l.String() != "(no transitions)" {
 		t.Fatalf("empty String = %q", l.String())
 	}
-	l.Record(42, "closed", "open", "link wedged")
+	l.Record(42, "running", "failed", "worker panic")
 	s := l.String()
-	for _, want := range []string{"42ns", "closed->open", "link wedged"} {
+	for _, want := range []string{"42ns", "running->failed", "worker panic"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String %q missing %q", s, want)
 		}
@@ -99,10 +98,10 @@ func TestSyncTransitionLogConcurrent(t *testing.T) {
 	}
 }
 
-// TestSyncTransitionLogNil: nil reads are inert, matching TransitionLog.
+// TestSyncTransitionLogNil: nil reads are inert.
 func TestSyncTransitionLogNil(t *testing.T) {
 	var l *SyncTransitionLog
-	if l.Transitions() != nil || l.Len() != 0 || l.Count("", "") != 0 {
+	if l.Transitions() != nil || l.Len() != 0 || l.Count("", "") != 0 || l.Count("a", "b") != 0 {
 		t.Fatal("nil SyncTransitionLog reads are not inert")
 	}
 }

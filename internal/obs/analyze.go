@@ -54,9 +54,6 @@ type Analysis struct {
 	Stalls  int64
 	StallNs int64
 
-	// Breaker transitions, in order.
-	BreakerTransitions []string
-
 	// Health-controller timeline: degradation-ladder transitions in order
 	// ("L0->L1" labels), the highest level reached, the final level, and
 	// the per-component peak score (0..1) sampled from the trace.
@@ -159,8 +156,6 @@ func Analyze(events []Event) *Analysis {
 		case KindStall:
 			a.Stalls++
 			a.StallNs += e.Arg
-		case KindBreaker:
-			a.BreakerTransitions = append(a.BreakerTransitions, e.Name)
 		case KindHealth:
 			if strings.Contains(e.Name, "->") {
 				a.HealthTransitions = append(a.HealthTransitions, e.Name)
@@ -381,9 +376,6 @@ func (a *Analysis) String() string {
 			fmtNs(a.LeadNsMin), fmtNs(a.LeadNsP50), fmtNs(a.LeadNsP90), fmtNs(a.LeadNsMax))
 	}
 	fmt.Fprintf(&b, "gpu stalls on in-flight migrations: %d for %s\n", a.Stalls, fmtNs(a.StallNs))
-	if len(a.BreakerTransitions) > 0 {
-		fmt.Fprintf(&b, "breaker: %s\n", strings.Join(a.BreakerTransitions, ", "))
-	}
 	if len(a.HealthTransitions) > 0 || len(a.HealthScorePeak) > 0 {
 		fmt.Fprintf(&b, "health: max L%d, final L%d", a.HealthMaxLevel, a.HealthFinalLevel)
 		if len(a.HealthTransitions) > 0 {

@@ -29,7 +29,7 @@ func goldenEvents() []Event {
 		{TS: 5_000, Kind: KindEvict, Track: TrackFaultHandler, Block: 9, Arg: 2 << 20, Arg2: EvictCritical},
 		{TS: 5_200, Dur: 700, Kind: KindLinkTransfer, Track: TrackLinkD2H, Name: "d2h", Arg: 2 << 20},
 		{TS: 6_000, Kind: KindStall, Track: TrackGPU, Block: 5, Arg: 250},
-		{TS: 7_000, Kind: KindBreaker, Track: TrackBreaker, Name: "closed->open"},
+		{TS: 7_000, Kind: kindBreaker, Track: trackBreaker, Name: "closed->open"},
 		{TS: 8_000, Kind: KindQueueDepth, Track: trackRetired, Name: "faultq", Arg: 5},
 		{TS: 9_000, Kind: KindMark, Track: TrackRun, Name: "checkpoint"},
 	}

@@ -1,7 +1,7 @@
 // Package obs is the structured event-tracing layer of the UM substrate:
 // typed, timestamped events covering the fault-handling pipeline, the
-// prefetch lifecycle, evictions, link occupancy, circuit-breaker
-// transitions, and queue depths, accumulated in a lock-light bounded ring
+// prefetch lifecycle, evictions, link occupancy, health-ladder moves and
+// queue depths, accumulated in a lock-light bounded ring
 // buffer and exported as Chrome trace-event JSON (loadable in Perfetto or
 // chrome://tracing) or as an offline analysis report.
 //
@@ -62,9 +62,11 @@ const (
 	// KindStall marks the GPU waiting on an in-flight migration.
 	// Block = block, Arg = stall ns.
 	KindStall
-	// KindBreaker is a prefetch circuit-breaker transition. Name =
-	// "from->to" state names.
-	KindBreaker
+	// kindBreaker is retired: nothing emits it since the prefetch circuit
+	// breaker was folded into the health ladder. The value stays reserved,
+	// still named "breaker", so later kinds and stored traces that carry
+	// breaker transitions keep their meaning.
+	kindBreaker
 	// KindQueueDepth is a counter sample. Name = queue name, Arg = depth.
 	KindQueueDepth
 	// KindMark is a generic instant annotation. Name = label.
@@ -120,7 +122,7 @@ func (k Kind) String() string {
 		return "prefetch-waste"
 	case KindStall:
 		return "stall"
-	case KindBreaker:
+	case kindBreaker:
 		return "breaker"
 	case KindQueueDepth:
 		return "queue-depth"
@@ -163,8 +165,9 @@ const (
 	TrackLinkD2H
 	// TrackDriver carries the prefetch lifecycle and queue depths.
 	TrackDriver
-	// TrackBreaker carries circuit-breaker transitions.
-	TrackBreaker
+	// trackBreaker is tid 6, retired with kindBreaker; like trackRetired it
+	// keeps its label so later tids and stored traces keep their meaning.
+	trackBreaker
 	// trackRetired is tid 7, which nothing emits on any more. The slot
 	// stays reserved, with its old "pipeline" label, so later tids and
 	// stored traces that used it keep their meaning.
@@ -195,7 +198,7 @@ func (t Track) String() string {
 		return "link-d2h"
 	case TrackDriver:
 		return "driver"
-	case TrackBreaker:
+	case trackBreaker:
 		return "breaker"
 	case trackRetired:
 		return "pipeline"

@@ -112,7 +112,7 @@ func TestAnalyze(t *testing.T) {
 		{TS: 5_500, Kind: KindPrefetchHit, Track: TrackGPU, Block: 5, Arg: -200},
 		{TS: 6_000, Kind: KindPrefetchWaste, Track: TrackDriver, Block: 6},
 		{TS: 6_500, Kind: KindStall, Track: TrackGPU, Block: 5, Arg: 200},
-		{TS: 7_000, Kind: KindBreaker, Track: TrackBreaker, Name: "closed->open"},
+		{TS: 7_000, Kind: kindBreaker, Track: trackBreaker, Name: "closed->open"},
 		{TS: 7_500, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 3},
 		{TS: 8_000, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 7},
 	}
@@ -144,9 +144,6 @@ func TestAnalyze(t *testing.T) {
 	if a.Stalls != 1 || a.StallNs != 200 {
 		t.Errorf("stalls = %d/%d ns", a.Stalls, a.StallNs)
 	}
-	if len(a.BreakerTransitions) != 1 || a.BreakerTransitions[0] != "closed->open" {
-		t.Errorf("breaker = %v", a.BreakerTransitions)
-	}
 	if a.QueueDepthMax["faultq"] != 7 {
 		t.Errorf("queue depth max = %d, want 7", a.QueueDepthMax["faultq"])
 	}
@@ -161,10 +158,15 @@ func TestAnalyze(t *testing.T) {
 		t.Errorf("Check: %v", err)
 	}
 	out := a.String()
-	for _, want := range []string{"link utilisation", "fault handling", "prefetch", "closed->open", "faultq=7"} {
+	for _, want := range []string{"link utilisation", "fault handling", "prefetch", "faultq=7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	// A stored trace may still carry a retired breaker event; the
+	// analysis reads past it.
+	if strings.Contains(out, "closed->open") {
+		t.Errorf("report shows a retired breaker event:\n%s", out)
 	}
 }
 

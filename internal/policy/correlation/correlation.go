@@ -138,7 +138,7 @@ func (c *Chaser) Next() policy.Step {
 	}
 	degree := c.degree
 	if c.gate != nil {
-		if !c.gate.AllowPrefetchEnqueue() {
+		if !c.gate.AllowPrefetch() {
 			// Ladder at L3: the chain keeps learning, but issues nothing.
 			return policy.Step{Out: policy.Pause}
 		}

@@ -125,7 +125,7 @@ func (w *Window) Next() policy.Step {
 	}
 	window := w.window
 	if w.gate != nil {
-		if !w.gate.AllowPrefetchEnqueue() {
+		if !w.gate.AllowPrefetch() {
 			return policy.Step{Out: policy.Pause}
 		}
 		if window = w.gate.DegreeCap(window); window < 1 {

@@ -227,7 +227,7 @@ func (l *Learned) Next() policy.Step {
 	}
 	degree := l.degree
 	if l.gate != nil {
-		if !l.gate.AllowPrefetchEnqueue() {
+		if !l.gate.AllowPrefetch() {
 			return policy.Step{Out: policy.Pause}
 		}
 		if degree = l.gate.DegreeCap(degree); degree < 1 {

@@ -62,9 +62,9 @@ type Step struct {
 // Everything here bounds prediction work only — the demand path never goes
 // through the gate.
 type Gate interface {
-	// AllowPrefetchEnqueue reports whether new prefetch commands may be
-	// queued at all (false at L3, pure demand).
-	AllowPrefetchEnqueue() bool
+	// AllowPrefetch reports whether new prefetch commands may be queued at
+	// all (false at L3, pure demand).
+	AllowPrefetch() bool
 	// SpeculativeRequeue reports whether evicted-but-still-predicted blocks
 	// may be re-queued (false from L1 up: chained-correlation only).
 	SpeculativeRequeue() bool

@@ -230,3 +230,120 @@ func TestRestartIdempotent(t *testing.T) {
 	}
 	drain(t, s2)
 }
+
+// TestTerminalRunsReleaseCheckpoints: a finished run's checkpoints live in
+// the journal, not in the supervisor's memory. After N completed
+// CheckpointEvery runs, no terminal run holds checkpoint bytes — neither as
+// resume state nor on its outcome — and a kill-restart on the same journal
+// still replays correctly: finished runs stay finished with their
+// checkpoint count, and an interrupted run resumes from its latest
+// checkpoint.
+func TestTerminalRunsReleaseCheckpoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.journal")
+	const n = 6
+	blob := func(seed int64, chunk int) []byte {
+		b := make([]byte, 64<<10)
+		copy(b, fmt.Sprintf("ck-%d-%d", seed, chunk))
+		return b
+	}
+	hung := make(chan struct{})
+	phase1 := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		chunks := spec.Iterations / spec.CheckpointEvery
+		for c := 1; c < chunks; c++ {
+			progress(blob(spec.Seed, c))
+		}
+		if spec.Seed > n {
+			close(hung)
+			<-ctx.Done()
+			return Outcome{Status: string(StateCancelled)}, nil
+		}
+		return Outcome{Status: string(StateCompleted), Iterations: spec.Iterations, Checkpoint: blob(spec.Seed, chunks)}, nil
+	})
+	s1, err := New(Config{Runner: phase1, Workers: 2, QueueDepth: 16, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(seed int64) RunSpec {
+		return RunSpec{Model: "bert-base", Batch: 8, Iterations: 4, CheckpointEvery: 1, Seed: seed}
+	}
+	var done []uint64
+	for seed := int64(1); seed <= n; seed++ {
+		id, err := s1.Submit(spec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = append(done, id)
+	}
+	for _, id := range done {
+		info, err := s1.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateCompleted || info.Checkpoints != 4 {
+			t.Fatalf("run %d: state %s, %d checkpoints, want completed with 4", id, info.State, info.Checkpoints)
+		}
+		if info.Outcome == nil {
+			t.Fatalf("finished run %d has no outcome", id)
+		}
+		if info.Outcome.Checkpoint != nil {
+			t.Fatalf("finished run %d still carries %d checkpoint bytes on its outcome", id, len(info.Outcome.Checkpoint))
+		}
+	}
+	s1.mu.Lock()
+	for _, id := range done {
+		if r := s1.runs[id]; len(r.resume) != 0 {
+			s1.mu.Unlock()
+			t.Fatalf("terminal run %d holds %d bytes of resume state", id, len(r.resume))
+		}
+	}
+	s1.mu.Unlock()
+
+	interrupted, err := s1.Submit(spec(n + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-hung
+	s1.Kill()
+
+	var mu sync.Mutex
+	executed := map[int64][]byte{}
+	phase2 := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		mu.Lock()
+		executed[spec.Seed] = resume
+		mu.Unlock()
+		return Outcome{Status: string(StateCompleted), Iterations: spec.Iterations}, nil
+	})
+	s2, err := New(Config{Runner: phase2, Workers: 2, QueueDepth: 16, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Recovered != 1 {
+		t.Fatalf("recovered %d runs from the journal, want 1 (the interrupted one)", st.Recovered)
+	}
+	info, err := s2.Wait(interrupted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateCompleted || !info.Resumed {
+		t.Fatalf("interrupted run: state %s resumed %v", info.State, info.Resumed)
+	}
+	drain(t, s2)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(executed) != 1 {
+		t.Fatalf("restart executed %d runs, want only the interrupted one", len(executed))
+	}
+	if want := blob(n+1, 3); string(executed[n+1]) != string(want) {
+		t.Fatalf("interrupted run resumed from %.12q, want its latest checkpoint %.12q", executed[n+1], want)
+	}
+	for _, id := range done {
+		info, err := s2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateCompleted || info.Checkpoints != 4 || info.Attempts != 1 {
+			t.Fatalf("finished run %d after restart: state %s, %d checkpoints, %d attempts",
+				id, info.State, info.Checkpoints, info.Attempts)
+		}
+	}
+}

@@ -78,7 +78,11 @@ type Outcome struct {
 	// the health controller (nil otherwise).
 	Health *health.Report `json:"health,omitempty"`
 	// Checkpoint is the run's final warm state, if the runner produced
-	// one. Journaled as a checkpoint record, never inlined in JSON.
+	// one. Journaled as a checkpoint record, never inlined in JSON. The
+	// supervisor drops the bytes once the run is finalized, so a finished
+	// run's RunInfo.Outcome carries nil here: the durable copy is the
+	// journal's checkpoint record (a checkpoint-store reference when a
+	// store is configured).
 	Checkpoint []byte `json:"-"`
 }
 

@@ -1107,10 +1107,15 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	r.info.Outcome = &out
 	if len(out.Checkpoint) > 0 {
 		if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(out.Checkpoint)}) == nil {
-			r.resume = out.Checkpoint
 			r.info.Checkpoints++
 		}
 	}
+	// A terminal run never resumes, so once its final checkpoint is
+	// journaled the journal (or store) record is the only copy worth
+	// keeping. Holding the bytes here too would pin a checkpoint per
+	// finished run for the supervisor's lifetime.
+	out.Checkpoint = nil
+	r.resume = nil
 	if data, err := json.Marshal(journalFinish{State: state, Reason: r.info.Reason, Outcome: &out}); err == nil {
 		// Best effort: a failed finish append means the next replay re-runs
 		// this run — at-least-once, never lost.
@@ -1140,6 +1145,7 @@ func (s *Supervisor) finalizeQueuedLocked(r *run, reason string) {
 	now := time.Now()
 	r.info.Finished = &now
 	r.info.Outcome = out
+	r.resume = nil // a suspended run's checkpoint stays in the journal
 	if data, err := json.Marshal(journalFinish{State: StateCancelled, Reason: reason, Outcome: out}); err == nil {
 		_ = s.appendLocked(journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
 	}

@@ -3,7 +3,7 @@ package deepum
 // Observability. An Observer is the only way application code attaches
 // tracing to a run: pass one in Config.Observe and the engine records
 // typed events — fault batches, link transfers, the full prefetch
-// lifecycle (issue, transfer, hit, waste), evictions, breaker transitions,
+// lifecycle (issue, transfer, hit, waste), evictions, health-ladder moves,
 // per-iteration and per-kernel spans — into a fixed-capacity ring buffer.
 // Afterwards, export the buffer as a Chrome trace (WriteChromeTrace, loads
 // in Perfetto / chrome://tracing) or reduce it offline (Analyze).

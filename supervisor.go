@@ -148,7 +148,7 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 		}
 		var agg runAggregate
 		agg.add(res)
-		return agg.outcome(res, checkpointBytes(res)), nil
+		return agg.outcome(res, checkpointBytes(PolicyCheckpointOf(res))), nil
 	}
 
 	var agg runAggregate
@@ -160,7 +160,10 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 			return supervisor.Outcome{}, err
 		}
 		agg.add(res)
-		ck := checkpointBytes(res)
+		// Encode the warm state once: the same state is this chunk's
+		// checkpoint and the next chunk's resume point.
+		st := PolicyCheckpointOf(res)
+		ck := checkpointBytes(st)
 		if ck != nil {
 			progress(ck)
 		} else {
@@ -170,7 +173,7 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 			return agg.outcome(res, ck), nil
 		}
 		cfg.Resume = nil
-		cfg.ResumeState = PolicyCheckpointOf(res)
+		cfg.ResumeState = st
 		cfg.Warmup = 1
 		if agg.iterations >= total {
 			return agg.outcome(res, ck), nil
@@ -182,8 +185,7 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 
 // checkpointBytes serializes a run's warm policy state (any prefetch
 // policy), or nil when there is none.
-func checkpointBytes(res *Result) []byte {
-	st := PolicyCheckpointOf(res)
+func checkpointBytes(st *PolicyState) []byte {
 	if st == nil {
 		return nil
 	}
